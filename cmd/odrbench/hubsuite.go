@@ -21,6 +21,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"sync"
 	"time"
 
 	"odr"
@@ -104,11 +105,18 @@ func hubCellRun(viewers int, measure time.Duration) (hubCell, error) {
 	heap0 := heapInUse()
 	stop := make(chan struct{})
 	conns := make([]net.Conn, viewers)
+	// discards joins this cell's discard readers before it returns, so the
+	// next cell's goroutine baseline never counts one still exiting.
+	var discards sync.WaitGroup
 	for i := 0; i < viewers; i++ {
 		hubEnd, clientEnd := net.Pipe()
 		conns[i] = clientEnd
 		hub.Attach(hubEnd, 0, nil)
-		go discardFrames(clientEnd, stop)
+		discards.Add(1)
+		go func() {
+			defer discards.Done()
+			discardFrames(clientEnd, stop)
+		}()
 	}
 
 	counters := func() (rendered, encoded, sent int64) {
@@ -139,6 +147,7 @@ func hubCellRun(viewers int, measure time.Duration) (hubCell, error) {
 	for _, c := range conns {
 		c.Close()
 	}
+	discards.Wait()
 
 	cell := hubCell{
 		Viewers:  viewers,
@@ -242,6 +251,13 @@ func checkHubRegression(baselinePath string, measure time.Duration, tolerance fl
 		// shape's 3.0.
 		if c.Viewers >= 256 && c.GoroutinesPerSession > 0.25 {
 			fmt.Fprintf(os.Stderr, "odrbench: hub %4d viewers: %.3f goroutines/session, want <= 0.25 REGRESSION\n",
+				c.Viewers, c.GoroutinesPerSession)
+			regressions++
+		}
+		// A negative count means the baseline included goroutines that
+		// exited during the cell: the measurement is broken, not small.
+		if c.GoroutinesPerSession < 0 {
+			fmt.Fprintf(os.Stderr, "odrbench: hub %4d viewers: %.3f goroutines/session is negative: baseline miscounted REGRESSION\n",
 				c.Viewers, c.GoroutinesPerSession)
 			regressions++
 		}

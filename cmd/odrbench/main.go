@@ -35,8 +35,9 @@
 //     -hub-tol below the committed baseline (the ratio is machine-portable;
 //     it collapses only if the hub regresses toward per-viewer encoding),
 //     when a >=256-viewer cell spends more than 0.25 goroutines or grows
-//     heap per session beyond the baseline by -hub-tol, or when the
-//     coalescing accounting reports a ratio below 1.
+//     heap per session beyond the baseline by -hub-tol, when any cell
+//     reports a negative goroutines/session (a miscounted baseline), or
+//     when the coalescing accounting reports a ratio below 1.
 //
 // Usage:
 //

@@ -281,6 +281,8 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 			// swallowed while we still looked queued.
 			s.sched.Store(schedParked)
 			if s.buf.Occupancy() == 0 && !s.buf.Closed() {
+				// Parked empty: room for the next render.
+				s.hub.signalDemand()
 				return frames, false, false
 			}
 			if !s.sched.CompareAndSwap(schedParked, schedQueued) {
@@ -289,6 +291,9 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 			}
 			continue
 		}
+		// The acquired frame now sends from the front slot, so the back slot
+		// is free: room for the next render.
+		s.hub.signalDemand()
 		art := f.Encoded.(*encArtifact)
 		sent, delay, err := s.sendArtifact(&e.scratch[wk], f, art)
 		s.buf.Release()
@@ -330,7 +335,14 @@ func (s *hubSession) teardown(evict bool) {
 		sh.mu.Lock()
 		delete(sh.m, s.id)
 		sh.rebuildLocked()
+		h.viewers.Add(-1)
+		if s.paced {
+			h.paced.Add(-1)
+		}
 		sh.mu.Unlock()
+		// Wake a renderer parked on this viewer's demand: the remaining
+		// viewers may have room, or none may be left to gate on.
+		h.signalDemand()
 		e.readerFor(s.id).deregister(s)
 		// Release artifacts still queued in the (now closed) buffer so their
 		// bitstream buffers recycle. sendMu excludes a concurrent send pass.

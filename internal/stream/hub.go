@@ -17,17 +17,22 @@ import (
 )
 
 // Hub streams one game to many clients — the "render once, view many" shape
-// of spectating and co-streaming. The shared game renders on demand under a
-// single ODR pacer (inputs from any client cancel its delay, PriorityFrame
-// style); each frame is then encoded once per resolution lane and the
-// resulting artifact fans out to every viewer on the lane. Every client
-// keeps its own Mul-Buf latest-wins slot and its own pacer, so a slow or
-// slower-paced client never stalls the game or its peers — its obsolete
-// artifacts are simply dropped before transmission, which is ODR's on-demand
-// principle applied per viewer. A viewer whose delta chain skipped frames
-// (or a late joiner needing a keyframe) is repaired by splicing intra-coded
-// tiles out of the shared encoder's state, never by forcing a keyframe on
-// everyone; see encLane and codec.AppendSplice.
+// of spectating and co-streaming. The shared game renders under a single ODR
+// pacer capped at TargetFPS and, while viewers are attached, behind a demand
+// gate: the next frame renders only once some viewer has room for it (a free
+// back slot in its Mul-Buf), the way Mul-Buf2's producer pauses until the
+// buffers swap (§5.1). Inputs from any client bypass both the gate and the
+// pacer's delay, PriorityFrame style. The gate stays open — rendering at
+// TargetFPS — with no viewer attached or with any viewer paced below
+// TargetFPS (see Run). Each frame is then encoded once per resolution lane
+// and the resulting artifact fans out to every viewer on the lane. Every
+// client keeps its own Mul-Buf latest-wins slot and its own pacer, so a slow
+// or slower-paced client never stalls the game or its peers — an artifact
+// that is obsolete before its viewer can take it is dropped before
+// transmission. A viewer whose delta chain skipped frames (or a late joiner
+// needing a keyframe) is repaired by splicing intra-coded tiles out of the
+// shared encoder's state, never by forcing a keyframe on everyone; see
+// encLane and codec.AppendSplice.
 type Hub struct {
 	cfg   HubConfig
 	dom   *realrt.Domain
@@ -48,6 +53,18 @@ type Hub struct {
 	rendered int64
 	inputs   int64
 
+	// Render gate (Mul-Buf2 style, §5.1). demand is a one-render token: a
+	// sender worker sets it when a viewer has room for a new frame (and
+	// Attach and teardown set it), the renderer clears it before every
+	// render. While gated() holds the renderer waits for it on gate, a cond
+	// of the hub domain subscribed to box, so an input — and the one Stop
+	// and Drain post — wakes a parked renderer at once.
+	demand   atomic.Bool
+	gate     core.Cond
+	viewers  atomic.Int64 // attached sessions
+	paced    atomic.Int64 // attached sessions paced below TargetFPS
+	gateWait *obs.Histogram
+
 	// Lifetime totals across detached sessions (atomics).
 	served       int64
 	totalSent    int64
@@ -57,6 +74,10 @@ type Hub struct {
 	stopOnce sync.Once
 	stopping chan struct{}
 	renderWG sync.WaitGroup
+	// runMu orders Run's renderWG.Add against the close of stopping and
+	// draining: a Run that starts after either returns without adding, so
+	// the Add never races Stop's or Drain's renderWG.Wait.
+	runMu sync.Mutex
 
 	// Drain sequencing: Drain closes draining; the renderer retires, each
 	// lane flushes its queued frame, every session flushes its queued
@@ -115,7 +136,10 @@ type Hub struct {
 type HubConfig struct {
 	// Width and Height are the stream resolution (defaults 320×180).
 	Width, Height int
-	// TargetFPS paces the shared renderer (default 60).
+	// TargetFPS caps the shared renderer's rate (default 60). With viewers
+	// attached, none of them paced below it, the renderer runs only as fast
+	// as some viewer has room for a frame; with no viewer, or with a paced
+	// one, it renders at TargetFPS.
 	TargetFPS float64
 	// Codec configures the shared per-lane encoders.
 	Codec codec.Options
@@ -171,6 +195,10 @@ type hubSession struct {
 	pace      *core.Pacer
 	downscale int // 1 = full resolution; n = 1/n width and height
 	w, h      int // this session's output dimensions
+
+	// paced marks a ClientFPS below the hub's TargetFPS: such a viewer
+	// keeps the render gate open (Hub.gated).
+	paced bool
 
 	// Verbatim-chain state (send-loop goroutine only): the shared seq and
 	// encoder index of the last frame this viewer displayed. An artifact
@@ -252,10 +280,13 @@ func NewHub(cfg HubConfig) *Hub {
 		ins:      obs.NewFrameInstruments(cfg.Metrics),
 		evictCtr: cfg.Metrics.Counter(obs.NameSessionsEvicted),
 	}
+	h.gate = dom.NewCond()
+	h.box.Subscribe(h.gate)
 	h.tileCache = cfg.Codec.Cache
 	h.eng = newHubEngine(h)
 	if reg := cfg.Metrics; reg != nil {
 		v := registerLiveVecs(reg)
+		h.gateWait = v.gateWait
 		h.cacheHits = v.cacheHits
 		h.cacheMisses = v.cacheMisses
 		h.cacheEvictions = v.cacheEvictions
@@ -325,13 +356,76 @@ func (h *Hub) pixPut(b []byte) {
 	h.pixMu.Unlock()
 }
 
+// gated reports whether the renderer waits for demand: some viewer is
+// attached and none is paced below TargetFPS. A paced viewer takes frames on
+// its own timer, not when it has room, so its demand is not signalled; with
+// one attached (or none at all) the renderer keeps TargetFPS pacing.
+func (h *Hub) gated() bool {
+	return h.viewers.Load() > 0 && h.paced.Load() == 0
+}
+
+// signalDemand sets the render token and wakes a renderer parked on the
+// gate. The fast path, with the token already set, is one atomic load; the
+// slow path takes the hub-domain lock and broadcasts at most once per render.
+func (h *Hub) signalDemand() {
+	if h.demand.Load() {
+		return
+	}
+	mu := h.dom.Locker()
+	mu.Lock()
+	if !h.demand.Load() {
+		h.demand.Store(true)
+		h.gate.Broadcast()
+	}
+	mu.Unlock()
+}
+
+// awaitDemand is the render gate: while gated it blocks until the demand
+// token is set or an input is pending, then consumes the token. A wait is
+// recorded as a "gate" span on the render track (for frame seq) and in
+// odr_hub_render_gate_wait_us.
+func (h *Hub) awaitDemand(w *realrt.Waiter, seq uint64) {
+	mu := h.dom.Locker()
+	mu.Lock()
+	var from time.Duration
+	waited := false
+	for !h.demand.Load() && !h.box.PendingLocked() && h.gated() {
+		if !waited {
+			from, waited = h.dom.Now(), true
+		}
+		w.Wait(h.gate)
+	}
+	h.demand.Store(false)
+	mu.Unlock()
+	if waited {
+		to := h.dom.Now()
+		h.tr.Span(obs.TrackRender, "gate", seq, from, to)
+		h.gateWait.ObserveDuration(to - from)
+	}
+}
+
 // Run renders the shared game until Stop; it drives all attached sessions.
+// Each frame first passes the demand gate (awaitDemand), outside the span
+// the pacer observes: on a clear path, where some viewer always has room,
+// the pacing decisions are those of an ungated renderer.
 func (h *Hub) Run() {
+	h.runMu.Lock()
+	select {
+	case <-h.stopping:
+		h.runMu.Unlock()
+		return
+	case <-h.draining:
+		h.runMu.Unlock()
+		return
+	default:
+	}
 	h.renderWG.Add(1)
+	h.runMu.Unlock()
 	defer h.renderWG.Done()
 	w := realrt.NewWaiter(h.dom)
 	var seq uint64
 	for {
+		h.awaitDemand(w, seq+1)
 		select {
 		case <-h.stopping:
 			return
@@ -417,8 +511,11 @@ func (h *Hub) allSessions() []*hubSession {
 // set, Stop logs a final stats summary once the renderer has quiesced.
 func (h *Hub) Stop() {
 	h.stopOnce.Do(func() {
+		h.runMu.Lock()
 		close(h.stopping)
-		// Wake the renderer if it is inside DelayInterruptible.
+		h.runMu.Unlock()
+		// Wake the renderer if it is inside DelayInterruptible or parked on
+		// the render gate (the posted input opens both).
 		h.box.OnInput(0, 0)
 		// Taking laneMu orders this sweep after any in-flight lane creation;
 		// Attach re-checks stopping under the shard lock, so a racing attach
@@ -455,8 +552,13 @@ func (h *Hub) Stop() {
 // some were still attached when the timeout passed; either way the hub is
 // stopped when it returns.
 func (h *Hub) Drain(timeout time.Duration) error {
-	h.drainOnce.Do(func() { close(h.draining) })
-	// Wake the renderer out of a pacing delay so it observes draining.
+	h.drainOnce.Do(func() {
+		h.runMu.Lock()
+		close(h.draining)
+		h.runMu.Unlock()
+	})
+	// Wake the renderer out of a pacing delay or the render gate so it
+	// observes draining.
 	h.box.OnInput(0, 0)
 	h.renderWG.Wait()
 	// Renderer gone: close lane buffers so each lane flushes its final
@@ -640,6 +742,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		conn:      conn,
 		dom:       realrt.NewDomainAt(h.epoch),
 		pace:      core.NewPacer(opts.ClientFPS),
+		paced:     opts.ClientFPS > 0 && opts.ClientFPS < h.cfg.TargetFPS,
 		downscale: div,
 		w:         ln.w,
 		h:         ln.h,
@@ -674,7 +777,15 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	}
 	sh.m[id] = s
 	sh.rebuildLocked()
+	// Counted under the shard lock, like teardown's uncount, so a teardown
+	// racing this attach cannot uncount the session first.
+	h.viewers.Add(1)
+	if s.paced {
+		h.paced.Add(1)
+	}
 	sh.mu.Unlock()
+	// The new viewer's empty buffer is room for a frame.
+	h.signalDemand()
 	s.probe = newSessionProbe(h.cfg.Metrics, "h"+strconv.FormatUint(uint64(id), 10))
 	recordSessionStart(h.cfg.Metrics, "Hub", h.cfg.Codec)
 	// No per-session goroutines: the engine's reader pool serves the input

@@ -65,6 +65,10 @@ const (
 	// drained two or more sessions back-to-back — writes whose syscall cost
 	// amortized across a batch instead of paying one wakeup each.
 	NameHubCoalescedWrites = "odr_hub_coalesced_writes_total"
+	// NameHubRenderGateWaitUs is how long the hub's shared renderer waited
+	// for a viewer with room for a frame before rendering it, in
+	// microseconds; renders that did not wait are not observed.
+	NameHubRenderGateWaitUs = "odr_hub_render_gate_wait_us"
 	// NameCodecTileCacheHits counts encoded-tile cache lookups served from
 	// the content-addressed cache (payload bytes reused, no RLE pass).
 	NameCodecTileCacheHits = "odr_codec_tile_cache_hits_total"
@@ -119,6 +123,7 @@ type liveVecs struct {
 	senderQueueDepth *obs.Gauge
 	timerwheelLag    *obs.Gauge
 	coalescedWrites  *obs.Counter
+	gateWait         *obs.Histogram
 }
 
 // registerLiveVecs idempotently registers every live-session family in reg.
@@ -138,6 +143,8 @@ func registerLiveVecs(reg *obs.Registry) liveVecs {
 		"Lag of the most recent pacing timer-wheel fire past its deadline, microseconds.")
 	reg.SetHelp(NameHubCoalescedWrites,
 		"Frames flushed in sender passes that drained two or more sessions back-to-back.")
+	reg.SetHelp(NameHubRenderGateWaitUs,
+		"Time the hub's shared renderer waited for a viewer with room for a frame, microseconds.")
 	return liveVecs{
 		cacheHits:        reg.Counter(NameCodecTileCacheHits),
 		cacheMisses:      reg.Counter(NameCodecTileCacheMisses),
@@ -145,6 +152,7 @@ func registerLiveVecs(reg *obs.Registry) liveVecs {
 		senderQueueDepth: reg.Gauge(NameHubSenderQueueDepth),
 		timerwheelLag:    reg.Gauge(NameHubTimerwheelLagUs),
 		coalescedWrites:  reg.Counter(NameHubCoalescedWrites),
+		gateWait:         reg.Histogram(NameHubRenderGateWaitUs),
 		hubEncodes: reg.CounterVec(NameHubSharedEncodes,
 			"Frames encoded once by a hub lane's shared encoder and fanned out to every viewer on the lane.", "lane"),
 		hubSplicedKeys: reg.CounterVec(NameHubSplicedKeyframes,

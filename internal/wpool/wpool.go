@@ -5,11 +5,14 @@
 // goroutines per batch would churn the scheduler and show up as allocation
 // noise on paths the repo pins at zero allocs.
 //
-// The pool holds GOMAXPROCS-1 helper goroutines that park on a channel.
-// A Map submission wakes up to limit-1 of them; the submitting goroutine
-// always participates too, so completion never depends on helper
-// availability — a fully busy pool just means the submitter does the work
-// itself (and nested Maps degrade to inline loops instead of deadlocking).
+// The pool holds GOMAXPROCS-1 helper goroutines that park on a queue of
+// open jobs. A Map submission opens its job for up to limit-1 helpers; the
+// submitting goroutine always participates too, so completion never depends
+// on helper availability — a fully busy pool just means the submitter does
+// the work itself (and nested Maps degrade to inline loops instead of
+// deadlocking). A submitter withdraws its job from the queue as soon as it
+// has run out of indices, so a batch it finished alone leaves nothing behind
+// that could keep a helper from the next batch.
 //
 // Determinism: Map(fn) runs fn(i) exactly once for every index, and callers
 // write results to index-addressed slots, so the output of a Map is
@@ -31,16 +34,25 @@ import (
 // unusable; use New or Default.
 type Pool struct {
 	helpers int
-	jobs    chan *job
+
+	// mu guards open and closed. Helpers park on work while no open job
+	// wants one.
+	mu     sync.Mutex
+	work   *sync.Cond
+	open   []*job // submitted jobs that still want helpers, oldest first
+	closed bool
 }
 
-// job is one Map submission: an atomic index dispenser plus join/close
-// bookkeeping. Helpers that pick the job off the channel claim indices
+// job is one Map submission: an atomic index dispenser plus join
+// bookkeeping. Helpers that take the job off the pool's queue claim indices
 // until none remain or a participant panicked.
 type job struct {
 	fn   func(int)
 	n    int64
 	next atomic.Int64
+
+	// want is how many more helpers the job takes (guarded by Pool.mu).
+	want int
 
 	// First panic wins; the others stop claiming indices.
 	panicked atomic.Bool
@@ -48,11 +60,10 @@ type job struct {
 	panicSet bool
 	panicVal any
 
-	// mu serializes helper join against submitter close, so wg.Wait cannot
-	// miss a late joiner.
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	// wg counts joined helpers. A helper joins under Pool.mu while the job
+	// is queued, and the submitter dequeues the job under Pool.mu before
+	// waiting, so wg.Wait cannot miss a late joiner.
+	wg sync.WaitGroup
 }
 
 // run claims and executes indices until the job is exhausted (or a
@@ -87,33 +98,55 @@ func New(workers int) *Pool {
 	if helpers < 0 {
 		helpers = 0
 	}
-	p := &Pool{helpers: helpers, jobs: make(chan *job, helpers)}
+	p := &Pool{helpers: helpers}
+	p.work = sync.NewCond(&p.mu)
 	for i := 0; i < helpers; i++ {
 		go p.helper()
 	}
 	return p
 }
 
-// helper parks on the job channel and joins whatever work arrives. A job
-// that closed before the helper got to it is skipped — its submitter
-// already finished it.
+// helper parks until some queued job wants a helper, joins it, and parks
+// again once the job runs out of indices.
 func (p *Pool) helper() {
-	for j := range p.jobs {
-		j.mu.Lock()
-		if j.closed {
-			j.mu.Unlock()
-			continue
+	p.mu.Lock()
+	for {
+		for len(p.open) == 0 && !p.closed {
+			p.work.Wait()
+		}
+		if p.closed {
+			p.mu.Unlock()
+			return
+		}
+		j := p.open[0]
+		if j.want--; j.want == 0 {
+			p.dequeueLocked(0)
 		}
 		j.wg.Add(1)
-		j.mu.Unlock()
+		p.mu.Unlock()
 		j.run()
 		j.wg.Done()
+		p.mu.Lock()
 	}
 }
 
-// Close stops the helpers once their queued jobs finish. Only for
+// dequeueLocked removes open[i], keeping the queue's order and backing
+// array.
+func (p *Pool) dequeueLocked(i int) {
+	n := len(p.open) - 1
+	copy(p.open[i:], p.open[i+1:])
+	p.open[n] = nil
+	p.open = p.open[:n]
+}
+
+// Close stops the helpers once their current jobs finish. Only for
 // privately-owned pools (tests, benchmarks); Map must not be in flight.
-func (p *Pool) Close() { close(p.jobs) }
+func (p *Pool) Close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.work.Broadcast()
+}
 
 // Workers returns the maximum parallelism of the pool (helpers + the
 // submitting goroutine).
@@ -145,24 +178,27 @@ func (p *Pool) Map(limit, n int, fn func(int)) {
 	p.submit(j, limit)
 }
 
-// submit wakes helpers for j, participates, then closes the job and waits
-// for joined helpers before re-raising any panic.
+// submit opens j to limit-1 helpers, participates, then withdraws j from
+// the queue and waits for joined helpers before re-raising any panic.
+// Withdrawing is what keeps a finished job's unclaimed wakeups from
+// crowding out the next one.
 func (p *Pool) submit(j *job, limit int) {
-	notify := limit - 1
-wake:
-	for i := 0; i < notify; i++ {
-		select {
-		case p.jobs <- j:
-		default:
-			// Every helper is busy (or its wakeup slot already full); the
-			// submitter will absorb the remaining work itself.
-			break wake
-		}
+	p.mu.Lock()
+	j.want = limit - 1
+	p.open = append(p.open, j)
+	p.mu.Unlock()
+	for i := 1; i < limit; i++ {
+		p.work.Signal()
 	}
 	j.run()
-	j.mu.Lock()
-	j.closed = true
-	j.mu.Unlock()
+	p.mu.Lock()
+	for i, o := range p.open {
+		if o == j {
+			p.dequeueLocked(i)
+			break
+		}
+	}
+	p.mu.Unlock()
 	j.wg.Wait()
 	if j.panicSet {
 		panic(j.panicVal)
@@ -207,17 +243,13 @@ func (g *Group) Map(limit, n int, fn func(int)) {
 		}
 		return
 	}
-	// Reset under mu: a helper holding a stale pointer to this job (from a
-	// previous Map's wakeup) serializes against the reset and then either
-	// joins this run (fine — it is current again) or sees it closed.
+	// No helper holds the job once the previous submit returned (it was
+	// dequeued and every joiner waited out), so the reset needs no lock.
 	j := &g.j
-	j.mu.Lock()
 	j.fn, j.n = fn, int64(n)
 	j.next.Store(0)
 	j.panicked.Store(false)
 	j.panicSet, j.panicVal = false, nil
-	j.closed = false
-	j.mu.Unlock()
 	p.submit(j, limit)
 }
 

@@ -3,6 +3,7 @@ package wpool
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"odr/internal/testutil"
 )
@@ -130,5 +131,60 @@ func TestDefaultPoolExists(t *testing.T) {
 	Default().Map(0, 10, func(i int) { n.Add(1) })
 	if n.Load() != 10 {
 		t.Fatalf("default pool ran %d of 10 indices", n.Load())
+	}
+}
+
+// TestStaleWakeupDoesNotStarveNextBatch pins that a batch its submitter
+// finished alone leaves nothing behind that keeps a helper from the next
+// batch. The pool's one helper is held busy while batch B runs on its
+// submitter alone; batch C is submitted while the helper is still busy.
+// Once the helper frees up it must join C, whose two indices each wait for
+// the other: a pool that parked the helper behind B's unclaimed wakeup
+// leaves C's first index waiting out its deadline.
+func TestStaleWakeupDoesNotStarveNextBatch(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+
+	// Batch A holds its submitter and the helper until release.
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	doneA := make(chan struct{})
+	go func() {
+		defer close(doneA)
+		p.Map(0, 2, func(int) {
+			entered <- struct{}{}
+			<-release
+		})
+	}()
+	<-entered
+	<-entered
+
+	// Batch B: its helper wakeup goes unclaimed while the helper is busy.
+	p.Map(0, 2, func(int) {})
+
+	// Batch C: a 2-index barrier with a deadline.
+	var arrived atomic.Int32
+	met := make(chan bool, 2)
+	started := make(chan struct{})
+	doneC := make(chan struct{})
+	go func() {
+		defer close(doneC)
+		p.Map(0, 2, func(int) {
+			if arrived.Add(1) == 1 {
+				close(started)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for arrived.Load() < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			met <- arrived.Load() == 2
+		})
+	}()
+	<-started
+	close(release)
+	<-doneA
+	<-doneC
+	if !<-met || !<-met {
+		t.Fatal("batch C ran on its submitter alone: the freed helper never joined it")
 	}
 }

@@ -367,12 +367,14 @@ const (
 )
 
 // Hub sender-engine metric names (unlabeled; one engine per hub): the sender
-// worker pool's queue depth, the pacing timer wheel's firing lag, and the
-// frames whose socket flushes coalesced onto shared worker wakeups.
+// worker pool's queue depth, the pacing timer wheel's firing lag, the
+// frames whose socket flushes coalesced onto shared worker wakeups, and the
+// shared renderer's waits at the demand gate.
 const (
 	NameHubSenderQueueDepth = stream.NameHubSenderQueueDepth
 	NameHubTimerwheelLagUs  = stream.NameHubTimerwheelLagUs
 	NameHubCoalescedWrites  = stream.NameHubCoalescedWrites
+	NameHubRenderGateWaitUs = stream.NameHubRenderGateWaitUs
 )
 
 // Encoded-tile cache metric names (unlabeled counters; one cache serves
